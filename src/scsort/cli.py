@@ -4,7 +4,8 @@ Command-line front end.
 Subcommands: map, fertility, preimages, construct, spectrum, verify.
 Exit status is 0 on success, 1 when the verify subcommand finds a failing
 claim, and 2 on usage errors (malformed permutation, unknown pattern,
-out-of-range n, enumeration guard without --force).
+out-of-range n, empty claim selection, enumeration guard without --force,
+unwritable --out path).
 """
 
 from __future__ import annotations
@@ -167,8 +168,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     selection = None
-    if args.claims and args.claims != "all":
+    if args.claims != "all":
         selection = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not selection:
+            raise ValueError(f"--claims: no claim ids in {args.claims!r}")
     results = verify.run_claims(args.max_n, selection)
     if args.format == "json":
         text = verify.results_json(results) + "\n"
@@ -195,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True, help="family parameter n")
         if enum:
             p.add_argument("--no-prune", action="store_true",
-                           help="disable the first-entry pruning of the search")
+                           help="scan all of S_n instead of searching (the oracle)")
             p.add_argument("--force", action="store_true",
                            help="override the n <= 11 enumeration guard")
         if formats:
@@ -249,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, EnumerationLimitError) as exc:
+    except (ValueError, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ has a witness under every pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .perm_core import Perm, as_pattern, complement
 
@@ -135,8 +135,7 @@ def small_witness(sigma: Perm | str, f: int) -> Perm:
     return construct(sigma, f)
 
 
-@dataclass(frozen=True)
-class ConstructionFamily:
+class ConstructionFamily(NamedTuple):
     """One pattern's witness family: its floor, targets, and fertilities."""
 
     sigma: Perm

@@ -2,32 +2,26 @@
 Preimage enumeration and fertility counts for the SC machine.
 
 The fertility of a target permutation under a pattern is the number of
-inputs the machine sends to it.  No closed form is known, so these routines
-enumerate candidate inputs exhaustively, in lexicographic order.  Two
-exact-size reductions keep the search at desk scale:
+inputs the machine sends to it.  No closed form is known, so ``preimages``
+and ``fertility`` run a depth-first search over input prefixes.  The
+machine's pops are forced, so a prefix fixes the stack and the output so
+far, and a branch is cut once a popped value differs from the target, or an
+entry lands on one that the target lists before it (the stack is LIFO), or
+the final drain does not spell the rest of the target.  The bottom of the
+stack pops last, so every preimage starts with the target's last entry.
+Next entries are tried in ascending order, so preimages come out in
+lexicographic order.  ``use_pruning=False`` instead runs the machine on all
+of S_n: that brute-force scan is the oracle the search is tested against.
 
-- Pruning: the machine always emits the first input entry last, so only
-  candidates whose first entry equals the target's last entry can match.
-  This cuts the search space by a factor of n and is on by default; the
-  ``use_pruning=False`` path exists to cross-validate it.
-- Partitioning: the lexicographic space splits into contiguous blocks by
-  the entry in the first free position, so blocks can be scanned by
-  parallel workers and concatenated without re-sorting.  Worker processes
-  engage automatically only when the search space is large.
-
-Enumeration is guarded at n <= 11 (about 4e7 machine runs); pass
-``force=True`` to go beyond.
+Enumeration is guarded at n <= 11; pass ``force=True`` to go beyond.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import sc_machine
 from .perm_core import Perm, as_pattern, as_perm, format_perm
@@ -35,16 +29,12 @@ from .perm_core import Perm, as_pattern, as_perm, format_perm
 #: Largest permutation length enumerated without ``force=True``.
 MAX_ENUM_N = 11
 
-# Free-slot count above which a scan spreads over worker processes.
-_PARALLEL_THRESHOLD = 10
-
 
 class EnumerationLimitError(RuntimeError):
-    """Raised when an enumeration would exceed the factorial guard."""
+    """Raised when an enumeration would exceed the ``MAX_ENUM_N`` guard."""
 
 
-@dataclass(frozen=True)
-class FertilityReport:
+class FertilityReport(NamedTuple):
     """Result of one preimage search: the count, optionally the sorted list."""
 
     sigma: Perm
@@ -53,8 +43,7 @@ class FertilityReport:
     preimages: tuple[Perm, ...] | None = None
 
 
-@dataclass
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """
     Fertility of every permutation of S_n under one pattern.
 
@@ -66,8 +55,12 @@ class SpectrumTable:
 
     sigma: Perm
     n: int
-    counts: dict[Perm, int] = field(repr=False)
+    counts: dict[Perm, int]
     histogram: dict[int, int]
+
+    def __repr__(self) -> str:  # counts has up to n! entries
+        return (f"SpectrumTable(sigma={self.sigma!r}, n={self.n!r}, "
+                f"histogram={self.histogram!r})")
 
     def fertility_of(self, pi: Iterable[int]) -> int:
         pi = as_perm(pi)
@@ -102,75 +95,57 @@ class SpectrumTable:
 def _check_guard(n: int, force: bool) -> None:
     if n > MAX_ENUM_N and not force:
         raise EnumerationLimitError(
-            f"enumeration over S_{n} exceeds the n <= {MAX_ENUM_N} guard "
-            f"({math.factorial(n)} machine runs); pass force=True / --force to override"
+            f"permutations of length {n} exceed the enumeration limit "
+            f"n <= {MAX_ENUM_N}; pass force=True / --force to go beyond"
         )
 
 
-def _scan_block(args: tuple[Perm, Perm, Perm, tuple[int, ...], bool]) -> list[Perm] | int:
+def _search(sigma: Perm, target: Perm, head: Perm) -> list[Perm]:
     """
-    Scan one lexicographic block: candidates are ``prefix`` followed by every
-    arrangement of ``rest``.  Returns the matches, or only their number when
-    ``collect`` is false.
+    Every preimage of ``target`` that starts with ``head``, in lexicographic
+    order.  ``head`` is the target's last entry, optionally followed by a
+    second entry: on a stack of depth <= 1 nothing pops, and any entry may
+    sit on the target's last entry, so ``head`` needs no checking.
     """
-    sigma, target, prefix, rest, collect = args
     rule = sc_machine._pop_rule(sigma)
-    run = sc_machine._map_raw
-    matches: list[Perm] = []
-    count = 0
-    for suffix in permutations(rest):
-        tau = prefix + suffix
-        if run(rule, tau) == target:
-            if collect:
-                matches.append(tau)
+    where = [0] * (len(target) + 1)
+    for i, v in enumerate(target):
+        where[v] = i
+    found: list[Perm] = []
+    tau = list(head)
+
+    def extend(stack: list[int], pos: int, rest: list[int]) -> None:
+        if not rest:
+            if stack[::-1] == list(target[pos:]):
+                found.append(tuple(tau))
+            return
+        for j, x in enumerate(rest):
+            # x forces pops down to stack[i]; each must be the next target entry
+            i, p = len(stack) - 1, pos
+            while i >= 1 and rule(x, stack[i], stack[i - 1]):
+                if stack[i] != target[p]:
+                    break
+                i, p = i - 1, p + 1
             else:
-                count += 1
-    return matches if collect else count
+                # x leaves the stack before the entry it lands on
+                if i >= 0 and where[x] > where[stack[i]]:
+                    continue
+                tau.append(x)
+                extend(stack[:i + 1] + [x], p, rest[:j] + rest[j + 1:])
+                tau.pop()
 
-
-def _effective_jobs(jobs: int | None, free_slots: int) -> int:
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        return jobs
-    if free_slots >= _PARALLEL_THRESHOLD:
-        return min(os.cpu_count() or 1, 8)
-    return 1
-
-
-def _scan(sigma: Perm, target: Perm, use_pruning: bool, jobs: int | None,
-          collect: bool) -> list[Perm] | int:
-    n = len(target)
-    if use_pruning:
-        prefix: Perm = (target[-1],)
-        rest = tuple(x for x in range(1, n + 1) if x != target[-1])
-    else:
-        prefix = ()
-        rest = tuple(range(1, n + 1))
-    njobs = _effective_jobs(jobs, len(rest))
-    if njobs <= 1 or len(rest) < 2:
-        return _scan_block((sigma, target, prefix, rest, collect))
-    # One block per choice of the first free entry; ascending choices keep
-    # the concatenation in lexicographic order.
-    tasks = [
-        (sigma, target, prefix + (c,), tuple(x for x in rest if x != c), collect)
-        for c in rest
-    ]
-    with ProcessPoolExecutor(max_workers=njobs) as pool:
-        results = list(pool.map(_scan_block, tasks))
-    if collect:
-        merged: list[Perm] = []
-        for block in results:
-            merged.extend(block)
-        return merged
-    return sum(results)
+    extend(list(head), 0, [x for x in range(1, len(target) + 1) if x not in head])
+    return found
 
 
 def preimages(sigma: Perm | str, pi: Iterable[int], *, use_pruning: bool = True,
               force: bool = False, jobs: int | None = None) -> FertilityReport:
     """
     Enumerate every input the machine maps to ``pi``, sorted
-    lexicographically.
+    lexicographically.  ``use_pruning=False`` runs the brute-force scan of
+    S_n instead of the search.  ``jobs >= 2`` spreads the search over that
+    many worker processes; by default, and for the brute-force scan, it runs
+    in this process.
 
     >>> preimages("213", (1, 2, 4, 3)).preimages
     ((3, 4, 1, 2), (3, 4, 2, 1))
@@ -178,7 +153,24 @@ def preimages(sigma: Perm | str, pi: Iterable[int], *, use_pruning: bool = True,
     sigma = as_pattern(sigma)
     pi = as_perm(pi)
     _check_guard(len(pi), force)
-    matches = _scan(sigma, pi, use_pruning, jobs, collect=True)
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    n = len(pi)
+    if not use_pruning:
+        rule = sc_machine._pop_rule(sigma)
+        run = sc_machine._map_raw
+        matches = [tau for tau in permutations(range(1, n + 1)) if run(rule, tau) == pi]
+    elif jobs is None or jobs == 1 or n < 3:
+        matches = _search(sigma, pi, (pi[-1],))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # One subtree per second entry; ascending entries keep the joined
+        # list in lexicographic order.
+        heads = [(pi[-1], c) for c in range(1, n + 1) if c != pi[-1]]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            subtrees = pool.map(_search, [sigma] * len(heads), [pi] * len(heads), heads)
+            matches = [tau for found in subtrees for tau in found]
     return FertilityReport(sigma, pi, len(matches), tuple(matches))
 
 
@@ -186,15 +178,12 @@ def fertility(sigma: Perm | str, pi: Iterable[int], *, use_pruning: bool = True,
               force: bool = False, jobs: int | None = None) -> int:
     """
     Number of preimages of ``pi`` under the machine; 0 when ``pi`` is not in
-    the image.
+    the image.  Options as for ``preimages``.
 
     >>> fertility("213", (1, 2, 4, 3))
     2
     """
-    sigma = as_pattern(sigma)
-    pi = as_perm(pi)
-    _check_guard(len(pi), force)
-    return _scan(sigma, pi, use_pruning, jobs, collect=False)
+    return preimages(sigma, pi, use_pruning=use_pruning, force=force, jobs=jobs).count
 
 
 def spectrum(sigma: Perm | str, n: int, *, force: bool = False) -> SpectrumTable:

@@ -19,8 +19,7 @@ be reconstructed at any pop boundary.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .perm_core import Perm, as_pattern, as_perm, format_perm
 
@@ -31,15 +30,13 @@ class EventKind(enum.Enum):
     POP_DRAIN = "POP_DRAIN"
 
 
-@dataclass(frozen=True)
-class MachineEvent:
+class MachineEvent(NamedTuple):
     kind: EventKind
     value: int
     step: int
 
 
-@dataclass(frozen=True)
-class MachineTrace:
+class MachineTrace(NamedTuple):
     sigma: Perm
     input: Perm
     output: Perm

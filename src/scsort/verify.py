@@ -12,9 +12,8 @@ a counterexample with the offending inputs and observed vs expected values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import sc_machine
 from .constructions import construct, construct_preimages, expected_fertility
@@ -23,8 +22,7 @@ from .perm_core import PATTERNS, Perm, complement, format_perm, reverse
 from .sc_machine import combination_view, sc_trace
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     scope: str
     status: str  # "pass" or "fail"

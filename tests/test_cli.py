@@ -58,6 +58,16 @@ def test_map_out_file(capsys, tmp_path):
     assert path.read_text() == "21345\n"
 
 
+def test_out_into_missing_directory(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "map", "--sigma", "213", "--perm", "52413",
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not path.exists()
+
+
 # --- fertility / preimages ---
 
 def test_fertility_count(capsys):
@@ -264,3 +274,11 @@ def test_printed_permutations_reparse(capsys, argv, line_count):
     assert len(lines) == line_count
     for line in lines:
         parse_perm(line)
+
+
+@pytest.mark.parametrize("claims", [",", " , ", ""])
+def test_verify_empty_claim_selection(capsys, claims):
+    code, out, err = run(capsys, "verify", "--max-n", "3", "--claims", claims)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --claims")

@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsort import (
     MAX_ENUM_N,
     PATTERNS,
     EnumerationLimitError,
     complement,
+    construct,
+    construct_preimages,
     fertility,
     preimages,
+    sc_machine,
     sc_map,
     spectrum,
 )
@@ -70,7 +76,7 @@ def test_reports_satisfy_invariants():
             check_report(preimages(sigma, pi))
 
 
-# --- pruning and parallel scans agree ---
+# --- the search agrees with the brute-force scan ---
 
 def test_pruned_matches_unpruned_small():
     for sigma in PATTERNS:
@@ -79,6 +85,61 @@ def test_pruned_matches_unpruned_small():
                 pruned = preimages(sigma, pi, use_pruning=True)
                 full = preimages(sigma, pi, use_pruning=False)
                 assert pruned == full
+
+
+def test_search_matches_forward_sweep_up_to_s6():
+    # one machine run per input gives every preimage list of S_n at once
+    for sigma in PATTERNS:
+        for n in range(1, 7):
+            swept: dict = {}
+            for tau in all_perms(n):
+                swept.setdefault(sc_map(sigma, tau), []).append(tau)
+            for pi in all_perms(n):
+                assert preimages(sigma, pi).preimages == tuple(swept.get(pi, ()))
+
+
+@st.composite
+def _targets(draw):
+    n = draw(st.integers(1, 8))
+    return tuple(draw(st.permutations(range(1, n + 1))))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sigma=st.sampled_from(PATTERNS), pi=_targets())
+def test_search_matches_brute_force_property(sigma, pi):
+    assert preimages(sigma, pi) == preimages(sigma, pi, use_pruning=False)
+    assert fertility(sigma, pi) == fertility(sigma, pi, use_pruning=False)
+
+
+def test_search_recovers_witness_preimages():
+    for sigma in PATTERNS:
+        for n in range(8, 11):
+            assert preimages(sigma, construct(sigma, n)).preimages == \
+                construct_preimages(sigma, n)
+
+
+def test_search_looks_up_the_pop_rule_per_call(monkeypatch):
+    original = sc_machine._pop_rule
+
+    def inverted(sigma):
+        rule = original(sigma)
+        return lambda pending, top, second: not rule(pending, top, second)
+
+    for sigma in PATTERNS:
+        target = construct(sigma, 6)
+        honest = preimages(sigma, target)
+        monkeypatch.setattr(sc_machine, "_pop_rule", inverted)
+        mutated = preimages(sigma, target)
+        assert mutated == preimages(sigma, target, use_pruning=False)
+        assert mutated != honest
+        monkeypatch.undo()
+
+
+def test_default_search_starts_no_process():
+    forks = []
+    os.register_at_fork(after_in_parent=lambda: forks.append(1))
+    assert fertility("213", construct("213", 10)) == 9
+    assert forks == []
 
 
 def test_parallel_scan_matches_serial():
